@@ -13,6 +13,11 @@ Knobs (environment variables):
   ones); both models run by default, as in the paper.
 * ``REPRO_CACHE_DIR`` — where pretrained weights and cached attack
   profiles live.
+
+Fresh result rows go to the untracked ``.bench_out/results/``, never to the
+committed baselines under ``results/``: a test run must not rewrite
+tracked files.  Promoting a run to a baseline is an explicit copy (see
+README, "Benchmarks").
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ from repro.experiments import reporting
 
 os.environ.setdefault("REPRO_EXPERIMENT_ROUNDS", "3")
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+#: Where fresh rows land (gitignored); ``results/`` holds the baselines.
+RESULTS_DIR = Path(__file__).resolve().parent.parent / ".bench_out" / "results"
 
 
 def bench_models():
@@ -41,7 +47,7 @@ def bench_models():
 def emit(
     title: str, rows, columns=None, filename: str = None, deterministic: bool = False
 ) -> None:
-    """Print a table and persist it under ``results/``.
+    """Print a table and persist it under ``.bench_out/results/``.
 
     ``deterministic=True`` is for artifacts that must be byte-identical
     across reruns (the campaign JSONs): rows should already be projected

@@ -26,7 +26,7 @@ Three benchmark kinds are understood (``--kind``):
   (``full`` / ``slice``), ratio metric ``speedup`` (zero-copy scan kernel
   vs the retained PR-3 per-layer path).  ``--min-speedup`` enforces an
   absolute floor on *every* row, structure-aware: rows measured on a
-  ``structured`` plane (block-slice gather active) owe the full
+  ``structured`` plane (strided-view gather active) owe the full
   ``--min-speedup`` (the >= 4x acceptance bar), rows that rode the general
   gather owe only the pre-structure 2x bar.  ``structured`` is also a
   structural field — the baseline losing its structure claim is itself the
@@ -168,7 +168,7 @@ FLEET_SIZE_FLOOR = 4
 
 #: Kernel rows that rode the general gather (``structured: false``) owe
 #: only the pre-structure acceptance bar, whatever ``--min-speedup`` asks
-#: of the block-slice fast path.
+#: of the strided-view fast path.
 KERNEL_UNSTRUCTURED_FLOOR = 2.0
 
 

@@ -11,6 +11,12 @@ parity over the MSBs of the group (any single MSB flip moves ``M`` by
 ±128 and toggles it); ``S_A`` additionally catches same-direction double
 flips.  A 3-bit signature appends ``S_C = floor(M / 64) mod 2`` to also
 cover MSB-1 flips (Section VIII).
+
+Because the signature reads only bits 6-8 of ``M``, every signature path
+accumulates in **int16** (:data:`SIGNATURE_ACCUMULATOR`) for any group
+size: int16 addition is exact modulo ``2**16``, so a wrapped sum keeps
+bits 0-15 of the true ``M`` — and with them every bit the signature reads.
+Only :func:`compute_group_sums`, which returns ``M`` itself, widens.
 """
 
 from __future__ import annotations
@@ -25,6 +31,12 @@ from repro.errors import ProtectionError
 
 #: Divisors whose quotient parity forms the signature bits, most significant first.
 _SIGNATURE_DIVISORS = (256, 128, 64)
+
+#: Accumulator of every signature path.  Sums wrap modulo ``2**16`` once
+#: ``|M|`` passes ``2**15`` (possible from ``G = 256`` up), which leaves bits
+#: 6-8 — all the signature reads — untouched, and halves the einsum's
+#: output traffic against int32.
+SIGNATURE_ACCUMULATOR = np.dtype(np.int16)
 
 
 def signature_from_sums(sums: np.ndarray, signature_bits: int = 2) -> np.ndarray:
@@ -50,8 +62,8 @@ def signature_from_sums(sums: np.ndarray, signature_bits: int = 2) -> np.ndarray
     negative ``M`` too), so the packed signature is a single shift-and-mask
     over the whole array: bits ``[8, 7]`` for the 2-bit default, bit ``7``
     alone for 1 bit, bits ``[8, 7, 6]`` for 3 bits.  Any signed integer
-    dtype is accepted and shifted natively — the scan kernel feeds int32
-    checksums through without a promotion to int64.
+    dtype is accepted and shifted natively — the scan kernel feeds its
+    wrapped int16 checksums through without a promotion to int64.
     """
     if signature_bits not in (1, 2, 3):
         raise ProtectionError(f"signature_bits must be 1, 2 or 3, got {signature_bits}")
@@ -68,14 +80,26 @@ def signature_shift_mask(signature_bits: int) -> tuple:
     Derived from :data:`_SIGNATURE_DIVISORS`: the least-significant
     signature bit is the parity of ``M`` divided by the smallest selected
     divisor, so the shift is that divisor's bit position and the mask keeps
-    ``signature_bits`` bits.  Exposed so the scan kernel can binarize *in
-    place* on its sums scratch (``sums >>= shift; sums &= mask``) without
-    the intermediate arrays :func:`signature_from_sums` allocates.
+    ``signature_bits`` bits.
     """
     if signature_bits not in (1, 2, 3):
         raise ProtectionError(f"signature_bits must be 1, 2 or 3, got {signature_bits}")
     lowest = _SIGNATURE_DIVISORS[1 if signature_bits == 1 else signature_bits - 1]
     return lowest.bit_length() - 1, (1 << signature_bits) - 1
+
+
+def binarize_in_place(sums: np.ndarray, signature_bits: int) -> np.ndarray:
+    """:func:`signature_from_sums` on the sums buffer itself (returns it).
+
+    The scan kernel's sums live in scratch and are compared against the
+    goldens right away, so it binarizes them in place
+    (``sums >>= shift; sums &= mask``) instead of allocating the shifted,
+    masked and uint8 intermediates on every pass.
+    """
+    shift, mask = signature_shift_mask(signature_bits)
+    np.right_shift(sums, shift, out=sums)
+    np.bitwise_and(sums, mask, out=sums)
+    return sums
 
 
 def compute_group_sums(
@@ -84,7 +108,7 @@ def compute_group_sums(
     key: Optional[SecretKey] = None,
     groups: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Per-group masked addition checksums ``M`` for one layer.
+    """Per-group masked addition checksums ``M`` for one layer (exact, int64).
 
     ``qweight_flat`` is the layer's int8 weight tensor flattened in memory
     order; ``layout`` supplies the (possibly interleaved) grouping and
@@ -92,37 +116,33 @@ def compute_group_sums(
     restricts the computation to the listed group indices (in the given
     order); ``None`` computes every group.
     """
+    return _masked_sums(qweight_flat, layout, key, groups, np.dtype(np.int64))
+
+
+def _masked_sums(
+    qweight_flat: np.ndarray,
+    layout: GroupLayout,
+    key: Optional[SecretKey],
+    groups: Optional[np.ndarray],
+    accum: np.dtype,
+) -> np.ndarray:
+    """Masked group sums accumulated in ``accum``.
+
+    The int8 weights are gathered without promotion and einsum accumulates
+    the ±1-masked sum directly in ``accum`` — no widened weight copy and no
+    materialized product matrix.
+    """
     qweight_flat = np.asarray(qweight_flat)
     if qweight_flat.dtype != np.int8:
         raise ProtectionError(f"Expected int8 weights, got dtype {qweight_flat.dtype}")
-    # Narrow accumulation: gather the int8 weights without promoting them and
-    # let einsum accumulate the ±1-masked sum directly in the accumulator
-    # dtype — no int64 weight copy and no materialized product matrix.  int32
-    # always suffices at paper scales (|M| <= group_size * 128); the int64
-    # fallback keeps pathological group sizes exact.
-    accum = accumulator_dtype(layout.group_size)
     if groups is None:
         gathered = layout.gather(qweight_flat, dtype=np.int8)
     else:
         gathered = layout.gather_rows(qweight_flat, groups, dtype=np.int8)
     if key is not None:
         signs = key.signs(layout.group_size, dtype=np.int8)
-        sums = np.einsum("ij,j->i", gathered, signs, dtype=accum)
-    else:
-        sums = gathered.sum(axis=1, dtype=accum)
-    return sums.astype(np.int64)
-
-
-def accumulator_dtype(group_size: int) -> np.dtype:
-    """Narrowest dtype that holds any masked group sum exactly.
-
-    A group of ``group_size`` int8 weights, each contributing at most
-    ``|±128|`` after masking, bounds the checksum by ``group_size * 128`` —
-    int32 covers every realistic configuration; int64 is the guard rail.
-    """
-    if group_size * 128 <= np.iinfo(np.int32).max:
-        return np.dtype(np.int32)
-    return np.dtype(np.int64)
+        return np.einsum("ij,j->i", gathered, signs, dtype=accum)
+    return gathered.sum(axis=1, dtype=accum)
 
 
 def compute_signatures(
@@ -132,6 +152,6 @@ def compute_signatures(
     signature_bits: int = 2,
     groups: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Convenience wrapper: checksums then binarization."""
-    sums = compute_group_sums(qweight_flat, layout, key, groups=groups)
+    """Checksums then binarization, accumulated in int16 (see module notes)."""
+    sums = _masked_sums(qweight_flat, layout, key, groups, SIGNATURE_ACCUMULATOR)
     return signature_from_sums(sums, signature_bits)

@@ -87,7 +87,7 @@ class AnalyticScanCostModel:
         """Price a group with :meth:`~repro.memsim.timing.TimingModel.scan_seconds_per_group`.
 
         ``narrow`` (the default) prices the zero-copy scan kernel's int8
-        gather + int32 accumulation; ``narrow=False`` reproduces the
+        gather + narrow (int16) accumulation; ``narrow=False`` reproduces the
         pre-kernel per-layer price (kept for comparisons).
         """
         from repro.memsim.timing import TimingModel

@@ -764,8 +764,8 @@ class VerificationEngine:
         stacking, so even a fully heterogeneous fleet coalesces into one
         batch per bucket instead of one pass per model.  Inside a bucket the
         stacked pass is cache-blocked over slot-major tiles and each model's
-        contiguous slice gathers through its plane's rotated-arange
-        structure when one was detected at fuse time (see
+        contiguous slice gathers through its plane's strided views when
+        fuse-time detection found them (see
         :func:`~repro.core.signature._stacked_sums`) — per-model metadata
         rides the :class:`FusedSignatures` views here and the published
         :class:`SharedPlaneSpec` on the process path.

@@ -150,20 +150,24 @@ class GroupLayout:
         return mask
 
     def slot_shifts(self) -> Optional[np.ndarray]:
-        """Per-slot rotations of the rotated-arange gather structure, if any.
+        """Per-slot rotations of the interleaved gather structure, if any.
 
         For a t-interleaved layout, group ``g``'s member at slot ``r`` sits
         at original index ``r * N + (g + s_r) % N`` with ``N = num_groups``
         and ``s_r = (r * t) % N`` — i.e. slot ``r``'s gather column over all
         groups is the contiguous block ``[r * N, (r + 1) * N)`` rotated left
-        by ``s_r``.  That is what lets the scan kernel replace the fancy
-        gather with block slice copies (:class:`~repro.core.signature.PlaneStructure`).
+        by ``s_r``.  When ``(G - 1) * t < N`` no shift wraps, so for
+        ``g < N - (G - 1) * t`` slot ``r`` reads ``r * (N + t) + g``: the
+        scan kernel gathers those groups as one read-only ``(G, body)``
+        strided view of the weights with strides ``(N + t, 1)``, with
+        ``body`` also capped so the view ends inside the real weights
+        (:class:`~repro.core.signature.PlaneStructure`).
 
         Returns the ``(group_size,)`` int64 shift vector, or ``None`` for
         layouts the detector deliberately does not claim and the kernel
         serves through the general gather instead: contiguous layouts (slot
         columns are stride-``G`` sequences, not rotations), single-group
-        layouts (one group per slot row — nothing a block copy would
+        layouts (one group per slot row — nothing a strided view would
         batch), and zero-rotation interleaves (``t % N == 0``: every shift
         collapses to 0 — the detector is deliberately conservative and only
         claims proper rotations, so degenerate edge cases ride the
@@ -171,7 +175,9 @@ class GroupLayout:
         Offsets *not coprime*
         with ``N`` are still proper rotations (``s_r`` just cycles through
         ``gcd(t, N)``-step values) and are claimed — real layer sizes are
-        routinely divisible by the paper's ``t = 3``.
+        routinely divisible by the paper's ``t = 3``.  Shifts that wrap
+        (``(G - 1) * t >= N``) are claimed here too; the kernel then gathers
+        the layer with ``np.take``.
         """
         if not self.use_interleave or self.num_groups == 1:
             return None

@@ -291,10 +291,10 @@ class ProtectedInference:
 
     @property
     def structured(self) -> bool:
-        """Whether inline checks gather on the block-slice fast path.
+        """Whether inline checks gather on the strided-view fast path.
 
         True when fuse-time detection proved every protected layer's
-        rotated-arange structure (:class:`~repro.core.signature.PlaneStructure`);
+        strided-view structure (:class:`~repro.core.signature.PlaneStructure`);
         False means at least one layer's checks ride the general gather.
         Either way results are bit-identical — this only reports which
         engine serves the per-batch check cost.

@@ -676,8 +676,8 @@ class ScanScheduler:
             "policy": self.policy.value,
             "worst_case_lag_passes": self.worst_case_lag_passes,
             "passes": self.passes,
-            # Whether every layer's gather runs on the block-slice fast
-            # path (fuse-time rotated-arange detection); shard slices of an
+            # Whether every layer's gather runs on the strided-view fast
+            # path (fuse-time structure detection); shard slices of an
             # unstructured plane fall back to the general gather.
             "structured": bool(self.fused.structured),
         }

@@ -11,9 +11,12 @@ The run-time side of this module is the **zero-copy scan kernel** of
 :class:`FusedSignatures`: all layers fused at store-build time into one
 contiguous int8 weight plane with a single global gather-index matrix and a
 single int8 sign mask, so verifying any set of global rows is one int8
-gather plus one narrow-accumulation ``einsum`` — no per-layer Python loop,
+gather plus one int16-accumulation ``einsum`` — no per-layer Python loop,
 no ``searchsorted`` routing, no materialized product matrix, and (for
-engine-adopted models) no weight copies at all.
+engine-adopted models) no weight copies at all.  int16 sums are exact
+modulo ``2**16``, which keeps every bit the signature reads (see
+:mod:`repro.core.checksum`).  Contiguous row ranges of interleaved layers
+gather as one strided-view copy per layer (:class:`PlaneStructure`).
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ except ImportError:  # pragma: no cover - e.g. WASM / stripped builds
     shared_memory = None  # type: ignore[assignment]
 
 from repro.core.checksum import (
-    accumulator_dtype,
+    SIGNATURE_ACCUMULATOR,
+    binarize_in_place,
     compute_signatures,
     signature_from_sums,
-    signature_shift_mask,
 )
 from repro.core.config import RadarConfig
 from repro.core.interleave import PAD_INDEX, GroupLayout
@@ -222,14 +225,18 @@ STACKED_TILE_BYTES = 1 << 20
 #: per-tile NumPy dispatch costs more than the cache locality buys.
 MIN_STACKED_TILE_COLUMNS = 256
 
-#: Crossover between the block-slice gather and the general fancy gather,
-#: in columns per covered layer.  Measured on the ResNet-20 G=8 plane: the
-#: general ``np.take`` costs ~1.1 ns per gathered element but streams the
-#: int64 index matrix (8 bytes per element vs 1 weight byte), while the
-#: block path costs ~2 slice copies per slot row per layer regardless of
-#: width — they break even when a range covers roughly this many columns
-#: per layer it touches.
-STRUCTURED_MIN_COLUMNS_PER_LAYER = 512
+#: Crossover between the strided-view gather and the general fancy gather,
+#: in gathered bytes (``group_size`` x columns) per covered layer.  The
+#: general ``np.take`` costs ~1 ns per gathered element plus the index
+#: matrix it streams; the strided path costs a fixed ~5 us per layer (view
+#: construction, copy and tail dispatch) and then runs at memcpy speed.
+#: Measured on ResNet-20 planes at G = 8, 16 and 64 (2 CPUs): they break
+#: even between 512 and 1024 bytes per layer.
+STRIDED_MIN_BYTES_PER_LAYER = 1024
+
+#: Largest per-layer take-only block (``group_size`` x columns) whose
+#: contiguous intp index copy :class:`PlaneStructure` caches: 32 KB each.
+TAIL_CACHE_ELEMENTS = 4096
 
 
 def _stacked_tile_width(num_models: int, group_size: int, width: int) -> int:
@@ -242,81 +249,99 @@ def _stacked_tile_width(num_models: int, group_size: int, width: int) -> int:
 
 
 class PlaneStructureSpec(NamedTuple):
-    """Plain-data rotated-arange structure of one published plane.
+    """Plain-data strided-view structure of one published plane.
 
     The picklable half of :class:`PlaneStructure`, carried inside a
-    :class:`SharedPlaneSpec` so worker processes run the block-slice gather
-    without re-deriving (or trusting) anything: per-layer global row
-    bounds, plane offsets, and the per-slot rotation shifts (``None`` for
-    layers the fuse-time detector demoted to the general gather).
+    :class:`SharedPlaneSpec` so worker processes rebuild the coordinator's
+    strided views over the shared plane without re-deriving (or trusting)
+    anything: the group size, per-layer global row bounds and plane
+    offsets, and one interleave offset ``t`` per layer (``None`` for layers
+    that gather through ``np.take`` only).
     """
 
+    group_size: int
     row_starts: Tuple[int, ...]
     weight_offsets: Tuple[int, ...]
-    shifts: Tuple[Optional[Tuple[int, ...]], ...]
+    offsets: Tuple[Optional[int], ...]
 
 
 class PlaneStructure:
-    """Executable rotated-arange structure of one fused weight plane.
+    """Strided-view gather structure of one fused weight plane.
 
-    Built at fuse time by :class:`FusedSignatures` after *numerically
-    verifying* each layer's analytic
-    :meth:`~repro.core.interleave.GroupLayout.slot_shifts` hint against the
-    layer's actual index matrix (see :func:`_verified_slot_shifts`), and
-    shipped to scan workers as a :class:`PlaneStructureSpec`.
+    In a t-interleaved layer of ``N`` groups, slot ``r`` of group ``g``
+    holds weight ``r*N + (g + s_r) % N`` with ``s_r = r*t``
+    (:meth:`~repro.core.interleave.GroupLayout.slot_shifts`).  When
+    ``(G-1)*t < N`` no shift wraps for ``g < N - (G-1)*t``, so slot row
+    ``r`` of those groups starts at ``base + r*(N + t)``: the layer's
+    gather block is a read-only ``(G, body)`` view of the plane with
+    strides ``(N + t, 1)``, copied into the kernel scratch in one call.
+    ``body`` is also capped at ``num_weights - (G-1)*(N + t)``, so the view
+    never reads past the layer's real weights — and so never covers a
+    padded slot, whose index would lie beyond them.  The bound is asserted
+    when the structure is built.  The at most ``(G-1)*t`` tail columns of a
+    layer, layers whose shifts wrap, and layers without verified structure
+    gather with the general ``np.take`` over the kernel index matrix.
 
-    :meth:`gather_block` replaces the kernel's fancy ``np.take`` gather for
-    any contiguous global-row range: on a structured layer, slot row ``r``
-    of the slot-major gather matrix reads the plane block
-    ``[base + r*N, base + (r+1)*N)`` rotated left by ``s_r``, so a
-    contiguous range of ``L`` groups moves as at most two contiguous slice
-    copies per slot row instead of ``L`` random accesses per slot row.
-    Copies are clamped to the layer's real weights; the skipped positions
-    are exactly the padded slots, whose sign mask is 0, so whatever scratch
-    garbage they leave behind is multiplied away by the einsum —
-    bit-identical to the general gather by construction, with no
-    out-of-bounds read possible.  Unstructured layers inside the range fall
-    back to the general ``np.take`` on their column sub-block.
+    Built at fuse time by :class:`FusedSignatures` after numerically
+    verifying each layer's layout against its index matrix
+    (:func:`_strided_offset`), and shipped to scan workers as a
+    :class:`PlaneStructureSpec`.
     """
 
-    def __init__(self, row_starts, weight_offsets, shifts) -> None:
+    def __init__(self, group_size, row_starts, weight_offsets, offsets) -> None:
+        self.group_size = int(group_size)
         self.row_starts: List[int] = [int(value) for value in row_starts]
         self.weight_offsets: List[int] = [int(value) for value in weight_offsets]
-        self.shifts: List[Optional[List[int]]] = [
-            None if layer is None else [int(value) for value in layer]
-            for layer in shifts
+        self.offsets: List[Optional[int]] = [
+            None if value is None else int(value) for value in offsets
         ]
-        self.structured_layers = sum(
-            1 for layer in self.shifts if layer is not None
-        )
+        #: Per layer: body columns served by the strided view (0 = none)
+        #: and the view's row stride ``N + t``.
+        self.bodies: List[int] = []
+        self.strides: List[int] = []
+        reach = self.group_size - 1
+        for position, t in enumerate(self.offsets):
+            n = self.row_starts[position + 1] - self.row_starts[position]
+            num_weights = (
+                self.weight_offsets[position + 1] - self.weight_offsets[position]
+            )
+            body = 0
+            if t is not None:
+                body = max(0, min(n - reach * t, num_weights - reach * (n + t)))
+            assert body == 0 or reach * (n + t) + body <= num_weights
+            self.bodies.append(body)
+            self.strides.append(0 if t is None else n + t)
+        self.structured_layers = sum(1 for body in self.bodies if body)
+        #: Per layer: the lazily cached contiguous index block of its
+        #: take-only columns (see gather_block), when that block is small.
+        self._tails: List[Optional[np.ndarray]] = [None] * len(self.bodies)
 
     @property
     def num_layers(self) -> int:
-        return len(self.shifts)
+        return len(self.bodies)
 
     @property
     def any_structured(self) -> bool:
-        """Whether :meth:`gather_block` beats the general gather at all."""
+        """Whether any layer has strided-view body columns at all."""
         return self.structured_layers > 0
 
     @property
     def fully_structured(self) -> bool:
-        """Whether every layer's gather runs on the block-slice path."""
+        """Whether every layer's gather runs (mostly) on a strided view."""
         return self.structured_layers == self.num_layers
 
     def spec(self) -> PlaneStructureSpec:
         """Plain-tuple form for shared-memory publication (picklable)."""
         return PlaneStructureSpec(
+            group_size=self.group_size,
             row_starts=tuple(self.row_starts),
             weight_offsets=tuple(self.weight_offsets),
-            shifts=tuple(
-                None if layer is None else tuple(layer) for layer in self.shifts
-            ),
+            offsets=tuple(self.offsets),
         )
 
     @classmethod
     def from_spec(cls, spec: PlaneStructureSpec) -> "PlaneStructure":
-        return cls(spec.row_starts, spec.weight_offsets, spec.shifts)
+        return cls(spec.group_size, spec.row_starts, spec.weight_offsets, spec.offsets)
 
     def gather_block(
         self,
@@ -329,106 +354,111 @@ class PlaneStructure:
         """Fill ``out[:, :stop - start]`` with the gathered plane values of
         global rows ``[start, stop)`` (the slot-major kernel layout).
 
-        Narrow ranges are served by one general ``np.take`` instead: block
-        copies cost a fixed ~2 slice assignments per slot row per covered
-        layer, while the fancy gather scales with the column count (plus
-        int64 index-matrix traffic, which is what makes it lose on wide
-        ranges), so below ``STRUCTURED_MIN_COLUMNS_PER_LAYER`` columns per
-        covered layer the general gather is the faster engine.  Both fill
-        ``out`` with identical bytes.
+        Each covered layer's body columns are one strided-view copy and
+        its other columns (tail, or the whole of an unstructured layer) one
+        ``np.take``.  A range below ``STRIDED_MIN_BYTES_PER_LAYER`` gathered
+        bytes per covered layer, where the fixed per-view cost loses, is one
+        ``np.take`` as a whole.  Both engines fill ``out`` with identical
+        bytes.
         """
         row_starts = self.row_starts
-        first_layer = bisect.bisect_right(row_starts, start) - 1
-        if first_layer < 0:
-            first_layer = 0
-        covered = bisect.bisect_left(row_starts, stop, lo=first_layer + 1) - first_layer
-        if stop - start < covered * STRUCTURED_MIN_COLUMNS_PER_LAYER:
-            np.take(plane, kernel_indices[:, start:stop], out=out, mode="clip")
+        first = bisect.bisect_right(row_starts, start) - 1
+        last = bisect.bisect_left(row_starts, stop, lo=first + 1)
+        group_size = self.group_size
+        if (stop - start) * group_size < (last - first) * STRIDED_MIN_BYTES_PER_LAYER:
+            plane.take(
+                kernel_indices[:, start:stop], out=out[:, : stop - start], mode="clip"
+            )
             return
-        for position in range(max(first_layer, 0), self.num_layers):
+        bodies = self.bodies
+        tails = self._tails
+        for position in range(first, last):
             col0 = row_starts[position]
-            if col0 >= stop:
-                break
             col1 = row_starts[position + 1]
             lo = start if start > col0 else col0
             hi = stop if stop < col1 else col1
-            if hi <= lo:
-                continue
-            dest0 = lo - start
-            shifts = self.shifts[position]
-            if shifts is None:
-                np.take(
-                    plane,
-                    kernel_indices[:, lo:hi],
-                    out=out[:, dest0 : dest0 + (hi - lo)],
-                    mode="clip",
+            # Body columns [lo, mid) read the strided view; [mid, hi) take.
+            mid = col0 + bodies[position]
+            if mid < lo:
+                mid = lo
+            elif mid > hi:
+                mid = hi
+            if mid > lo:
+                out[:, lo - start : mid - start] = np.ndarray(
+                    (group_size, mid - lo),
+                    np.int8,
+                    buffer=plane,
+                    offset=self.weight_offsets[position] + lo - col0,
+                    strides=(self.strides[position], 1),
                 )
-                continue
-            base = self.weight_offsets[position]
-            limit = self.weight_offsets[position + 1]
-            n = col1 - col0
-            g0 = lo - col0
-            span = hi - lo
-            for r, shift in enumerate(shifts):
-                row_base = base + r * n
-                s = g0 + shift
-                if s >= n:
-                    s -= n
-                dest = out[r]
-                first = n - s
-                if first > span:
-                    first = span
-                src0 = row_base + s
-                src1 = src0 + first
-                if src1 > limit:
-                    src1 = limit
-                if src1 > src0:
-                    dest[dest0 : dest0 + src1 - src0] = plane[src0:src1]
-                remainder = span - first
-                if remainder > 0:
-                    src1 = row_base + remainder
-                    if src1 > limit:
-                        src1 = limit
-                    if src1 > row_base:
-                        wrap = dest0 + first
-                        dest[wrap : wrap + src1 - row_base] = plane[row_base:src1]
+            if hi > mid:
+                index = kernel_indices[:, mid:hi]
+                if hi == col1 and mid == col0 + bodies[position]:
+                    # The layer's whole take-only block: a take over a
+                    # strided int32 slice first copies and casts it (~3 us),
+                    # so small blocks keep a contiguous intp copy.
+                    tail = tails[position]
+                    if tail is None and (col1 - mid) * group_size <= TAIL_CACHE_ELEMENTS:
+                        tail = tails[position] = np.ascontiguousarray(index, np.intp)
+                    if tail is not None:
+                        index = tail
+                plane.take(index, out=out[:, mid - start : hi - start], mode="clip")
 
 
-def _verified_slot_shifts(
+def _strided_offset(
     layout: GroupLayout, indices: np.ndarray, sign_mask: np.ndarray
-) -> Optional[np.ndarray]:
-    """The layout's rotated-arange shifts, proven against its index matrix.
+) -> Optional[int]:
+    """The layer's non-wrapping interleave offset, proven against its indices.
 
     The analytic :meth:`~repro.core.interleave.GroupLayout.slot_shifts`
     hint is re-derived from layout *parameters*; the kernel must not trust
     it blindly — a foreign or subclassed layout could change the assignment
     while keeping the flags.  This verifies, entry by entry over the
     non-padded slots, that the layer's actual ``(num_groups, group_size)``
-    index matrix equals ``r * N + (g + s_r) % N``; any disagreement demotes
-    the layer to the general gather (returns ``None``).
+    index matrix equals ``r * N + (g + s_r) % N``, and returns ``t = s_1``
+    only when ``s_r = r * t`` never wraps (``(G-1) * t < N``); otherwise
+    the layer gathers through ``np.take`` (returns ``None``).
     """
     hint = layout.slot_shifts()
     if hint is None:
         return None
     num_groups, group_size = indices.shape
+    offset = int(hint[1])
+    if (group_size - 1) * offset >= num_groups:
+        return None
     g = np.arange(num_groups, dtype=np.int64)[:, None]
     r = np.arange(group_size, dtype=np.int64)[None, :]
     expected = r * num_groups + (g + hint[None, :]) % num_groups
     valid = sign_mask != 0
     if not np.array_equal(indices[valid], expected[valid]):
         return None
-    return hint
+    return offset
 
 
-def _contiguous_start(rows: np.ndarray, size: int) -> Optional[int]:
-    """``rows[0]`` when ``rows`` is a contiguous ascending range, else None."""
+def _contiguous_start(
+    rows: np.ndarray, limit: int, scratch: ScanScratch
+) -> Optional[int]:
+    """``rows[0]`` when ``rows`` is one ascending run inside ``[0, limit)``.
+
+    The kernel's one contiguity test.  With the end points ``size - 1``
+    apart, every step is exactly 1 as soon as every step is at least 1
+    (``size - 1`` integer steps >= 1 summing to ``size - 1``), so one
+    subtraction into scratch and one ``min`` decide it without allocating.
+    A run reaching outside ``[0, limit)`` reports ``None``, sending callers
+    to their bounds validation.
+    """
+    size = rows.size
     if size == 0:
         return None
     start = int(rows[0])
-    if int(rows[size - 1]) - start + 1 != size:
+    stop = start + size
+    if start < 0 or stop > limit or int(rows[size - 1]) != stop - 1:
         return None
-    if size > 1 and not bool(np.all(np.diff(rows) == 1)):
-        return None
+    if size > 1:
+        steps = scratch.take("contiguous", (size - 1,), np.int64)
+        np.subtract(rows[1:], rows[:-1], out=steps)
+        if steps.min() < 1:
+            return None
     return start
 
 
@@ -496,15 +526,16 @@ class SharedPlaneSpec(NamedTuple):
     (which embed nothing model-specific — the ``model``/``generation``
     fields carry identity), array geometry, and the two kernel parameters
     (``group_size``, ``signature_bits``) a worker needs to rebuild the
-    accumulator dtype and binarization without importing any model code.
+    gather shape and binarization without importing any model code.
     The ``generation`` counter implements the republish protocol: a re-sign
     bumps it, workers compare it against their cached attachment and
     re-attach by (new) segment name when stale.
 
-    ``structure`` carries the fuse-time rotated-arange detection verdict
-    (:class:`PlaneStructureSpec`) so workers run the block-slice gather on
-    exactly the layers the coordinator proved structured, without
-    re-deriving — or being able to disagree with — the classification.
+    ``structure`` carries the fuse-time structure verdict
+    (:class:`PlaneStructureSpec`) so workers build the same strided views
+    over the shared plane as the coordinator, on exactly the layers it
+    proved structured, without re-deriving — or being able to disagree
+    with — the classification.
     """
 
     model: str
@@ -603,8 +634,8 @@ class FusedSignatures:
       cost nothing beyond the multiply already fused into the sum.
 
     Verifying any row set is then one int8 gather plus one masked-sum
-    ``einsum`` accumulated in int32 (int64 only when ``group_size * 128``
-    could overflow — never at paper scales), with all workspaces reused
+    ``einsum`` accumulated in int16 — exact modulo ``2**16``, which is all
+    the signature reads, for any group size — with all workspaces reused
     from a :class:`ScanScratch` across passes.  Both matrices are stored
     slot-major (``group_size × total_groups``) so the einsum reduces over
     the short axis and streams rows contiguously.  There is no per-layer
@@ -680,25 +711,24 @@ class FusedSignatures:
         offsets[1:] = np.cumsum(self._num_weights)
         self._weight_offsets = offsets
         self.total_weights = int(offsets[-1])
-        # Rotated-arange structure, detected (and proven) once at fuse
-        # time: layers whose verified shifts are None fall back to the
-        # general gather inside gather_block.
+        # Strided-view structure, detected (and proven) once at fuse time:
+        # layers without a verified offset gather through np.take inside
+        # gather_block.
         self._structure = PlaneStructure(
+            group_size,
             row_starts,
             offsets,
             [
-                _verified_slot_shifts(
+                _strided_offset(
                     entry.layout, self._indices[position], self._sign_masks[position]
                 )
                 for position, entry in enumerate(entries)
             ],
         )
-        self._accum_dtype = accumulator_dtype(group_size)
         self._scratch = ScanScratch()
         self._kernel_indices: Optional[np.ndarray] = None
         self._kernel_signs: Optional[np.ndarray] = None
         self._plane: Optional[np.ndarray] = None
-        self._row_arange: Optional[np.ndarray] = None
         # Adoption state: the layer objects whose qweight buffers are views
         # of the plane, and those views themselves (identity-checked per
         # scan; see _prepare_plane).
@@ -755,9 +785,6 @@ class FusedSignatures:
             np.concatenate(self._sign_masks).T
         )
         self._plane = np.empty(self.total_weights, dtype=np.int8)
-        # Cached identity permutation so _row_block's contiguity test is an
-        # allocation-free compare against a view.
-        self._row_arange = np.arange(self.total_groups, dtype=np.int64)
 
     @property
     def adopted(self) -> bool:
@@ -766,12 +793,12 @@ class FusedSignatures:
 
     @property
     def structure(self) -> PlaneStructure:
-        """The fuse-time rotated-arange detection verdict for this plane."""
+        """The fuse-time strided-view structure of this plane."""
         return self._structure
 
     @property
     def structured(self) -> bool:
-        """True when every layer's gather runs on the block-slice path."""
+        """True when every layer's gather runs on a strided view."""
         return self._structure.fully_structured
 
     def structure_key(self) -> Tuple:
@@ -943,15 +970,34 @@ class FusedSignatures:
         self._plane_layers[position] = layer
         self._plane_sources[position] = layer.qweight
 
-    def _covered_positions(self, rows: Optional[np.ndarray]) -> Sequence[int]:
-        """Layers whose plane segment a row slice reads (all, for a full scan)."""
+    def _covered_positions(
+        self, rows: Optional[np.ndarray], start: Optional[int]
+    ) -> Sequence[int]:
+        """Layers whose plane segment a row slice reads (all, for a full scan).
+
+        The layers spanning the rows' lowest to highest row (``start`` is
+        the first row of a contiguous run, which spares the min/max pass):
+        for a row set with gaps that may include a few layers it does not
+        read, which only refreshes those segments as well.
+        """
         if rows is None:
             return range(len(self.layer_names))
-        owning = np.searchsorted(self._row_starts, rows, side="right") - 1
-        return np.unique(owning).tolist()
+        if rows.size == 0:
+            return ()
+        if start is None:
+            low, high = int(rows.min()), int(rows.max())
+        else:
+            low, high = start, start + rows.size - 1
+        starts = self._structure.row_starts
+        return range(
+            bisect.bisect_right(starts, low) - 1, bisect.bisect_right(starts, high)
+        )
 
     def _prepare_plane(
-        self, layer_map: Mapping[str, Module], rows: Optional[np.ndarray]
+        self,
+        layer_map: Mapping[str, Module],
+        rows: Optional[np.ndarray],
+        start: Optional[int] = None,
     ) -> np.ndarray:
         """The plane the kernel should gather from, refreshed as needed.
 
@@ -998,10 +1044,10 @@ class FusedSignatures:
             plane = self._foreign_plane
         else:
             plane = self._plane
-        for position in self._covered_positions(rows):
+        for position in self._covered_positions(rows, start):
             flat = self._layer_flat(layer_map, position)
-            start = self._weight_offsets[position]
-            plane[start : start + flat.size] = flat
+            offset = self._weight_offsets[position]
+            plane[offset : offset + flat.size] = flat
             self.plane_copy_bytes += int(flat.size)
         return plane
 
@@ -1188,106 +1234,67 @@ class FusedSignatures:
             raise ProtectionError(f"global rows out of range ({self.total_groups} groups)")
         return rows
 
-    def _contiguous_rows_start(self, rows: np.ndarray, count: int) -> Optional[int]:
-        """``rows[0]`` if ``rows`` is a contiguous ascending in-range run.
+    def _checked_rows(
+        self, rows: Optional[np.ndarray]
+    ) -> Tuple[Optional[np.ndarray], Optional[int]]:
+        """Validated ``rows`` plus the first row when they are one run.
 
-        One comparison against the prebuilt arange proves contiguity *and*
-        bounds at once (an out-of-range run compares against a shorter or
-        wrapped slice and fails), so contiguous callers skip the min/max
-        validation passes entirely.  Requires the kernel to be built.
+        ``None`` (every group) is the run starting at 0.  Contiguity is
+        tested first: an in-range run needs no min/max validation pass.
         """
-        start = int(rows[0])
-        if start < 0 or int(rows[count - 1]) - start + 1 != count:
-            return None
-        if not np.array_equal(rows, self._row_arange[start : start + count]):
-            return None
-        return start
+        if rows is None:
+            return None, 0
+        rows = np.asarray(rows, dtype=np.int64)
+        start = _contiguous_start(rows, self.total_groups, self._scratch)
+        if start is None:
+            rows = self._validated_rows(rows)
+        return rows, start
 
     def _kernel_sums(
         self,
         layer_map: Mapping[str, Module],
         rows: Optional[np.ndarray],
-        scratch: Optional[ScanScratch] = None,
-        contiguous_start: Union[str, None, int] = "auto",
+        start: Optional[int],
+        accum: np.dtype = SIGNATURE_ACCUMULATOR,
     ) -> np.ndarray:
-        """Masked checksums for validated ``rows`` (``None`` = all groups).
+        """Masked checksums for ``rows`` (``None`` = all groups) in ``accum``.
 
-        Full scans and contiguous row ranges over a structured plane (the
-        shapes every scheduler shard slice has) gather with block slice
-        copies (:meth:`PlaneStructure.gather_block`); arbitrary row sets —
-        and planes whose layers all failed fuse-time structure detection —
-        take the general fancy-indexing gather.  The einsum and binarize
-        are shared, and integer sums are exact, so the path choice can
-        never change a verdict.
-
-        ``contiguous_start`` is the memoized result of
-        :meth:`_contiguous_rows_start` when the caller already computed it
-        (``"auto"`` re-derives it here; the parameter only avoids a second
-        pass over ``rows`` on the hottest path).
+        ``rows`` and ``start`` come from :meth:`_checked_rows`.  A run
+        (every full scan and scheduler shard slice) gathers through
+        :meth:`PlaneStructure.gather_block`; arbitrary row sets take the
+        general fancy-indexing gather.  Both fill identical int8 bytes, so
+        the path choice can never change a verdict.  In the default int16
+        the sums are exact modulo ``2**16`` — every bit the signature reads.
 
         Returns a view into scratch storage — callers either consume it
         immediately (binarize/compare) or copy it out (:meth:`group_sums`).
         """
         self._ensure_kernel()
-        plane = self._prepare_plane(layer_map, rows)
-        scratch = scratch if scratch is not None else self._scratch
+        plane = self._prepare_plane(layer_map, rows, start)
+        scratch = self._scratch
         group_size = self.config.group_size
-        if rows is None:
-            count = self.total_groups
-            start: Optional[int] = 0
-        else:
-            count = int(rows.size)
-            if count == 0:
-                return np.empty(0, dtype=self._accum_dtype)
-            if contiguous_start == "auto":
-                start = self._contiguous_rows_start(rows, count)
-            else:
-                start = contiguous_start
-        if start is not None and self._structure.any_structured:
-            gathered = scratch.take("gathered", (group_size, count), np.int8)
+        count = self.total_groups if rows is None else int(rows.size)
+        if count == 0:
+            return np.empty(0, dtype=accum)
+        gathered = scratch.take("gathered", (group_size, count), np.int8)
+        if start is not None:
             self._structure.gather_block(
                 plane, self._kernel_indices, gathered, start, start + count
             )
             signs = self._kernel_signs[:, start : start + count]
         else:
-            if rows is None:
-                indices = self._kernel_indices
-                signs = self._kernel_signs
-            else:
-                indices, signs = self._row_block(rows, count, scratch)
-            gathered = scratch.take("gathered", (group_size, count), np.int8)
+            indices = scratch.take(
+                "row-indices", (group_size, count), self._kernel_indices.dtype
+            )
+            np.take(self._kernel_indices, rows, axis=1, out=indices)
+            signs = scratch.take("row-signs", (group_size, count), np.int8)
+            np.take(self._kernel_signs, rows, axis=1, out=signs)
             # mode="clip" skips per-element bounds checking; every index was
-            # validated at build time (and row slices just above), so
-            # clipping can never trigger.
+            # validated at build time, so clipping can never trigger.
             np.take(plane, indices, out=gathered, mode="clip")
-        sums = scratch.take("sums", (count,), self._accum_dtype)
-        np.einsum("gr,gr->r", gathered, signs, dtype=self._accum_dtype, out=sums)
+        sums = scratch.take("sums", (count,), accum)
+        np.einsum("gr,gr->r", gathered, signs, dtype=accum, out=sums)
         return sums
-
-    def _row_block(
-        self, rows: np.ndarray, count: int, scratch: ScanScratch
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Index and sign columns for a validated row slice.
-
-        A contiguous ascending range — the shape every round-robin shard
-        slice has — is served as plain views of the global matrices (no
-        copy at all); anything else is gathered into scratch with one
-        ``axis=1`` take per matrix.
-        """
-        start = int(rows[0])
-        if int(rows[-1]) - start + 1 == count and np.array_equal(
-            rows, self._row_arange[start : start + count]
-        ):
-            block = slice(start, start + count)
-            return self._kernel_indices[:, block], self._kernel_signs[:, block]
-        group_size = self.config.group_size
-        indices = scratch.take(
-            "row-indices", (group_size, count), self._kernel_indices.dtype
-        )
-        np.take(self._kernel_indices, rows, axis=1, out=indices)
-        signs = scratch.take("row-signs", (group_size, count), np.int8)
-        np.take(self._kernel_signs, rows, axis=1, out=signs)
-        return indices, signs
 
     def _layer_map(self, model: Module) -> Dict[str, Module]:
         """``{name: quantized layer}`` for ``model``, memoized for adoption.
@@ -1321,17 +1328,19 @@ class FusedSignatures:
         rows: Optional[np.ndarray] = None,
         reference: bool = False,
     ) -> np.ndarray:
-        """Masked checksums for the given global rows (``None`` = every group).
+        """Exact masked checksums for the given global rows (``None`` = every group).
 
+        The kernel gather accumulated in int64 (the signature paths
+        accumulate in int16, exact only modulo ``2**16``).
         ``reference=True`` runs the retained PR-3 per-layer path (int64
         promotion, per-layer gathers, ``searchsorted`` routing) — the
         bit-exactness oracle and benchmark baseline for the kernel.
         """
         layer_map = self._layer_map(model)
-        rows = self._validated_rows(rows)
         if reference:
-            return self._reference_sums(layer_map, rows)
-        return self._kernel_sums(layer_map, rows).astype(np.int64)
+            return self._reference_sums(layer_map, self._validated_rows(rows))
+        rows, start = self._checked_rows(rows)
+        return self._kernel_sums(layer_map, rows, start, np.dtype(np.int64)).copy()
 
     def _reference_sums(
         self, layer_map: Mapping[str, Module], rows: Optional[np.ndarray]
@@ -1366,8 +1375,8 @@ class FusedSignatures:
                 self.group_sums(model, rows, reference=True), self.config.signature_bits
             )
         layer_map = self._layer_map(model)
-        rows = self._validated_rows(rows)
-        sums = self._kernel_sums(layer_map, rows)
+        rows, start = self._checked_rows(rows)
+        sums = self._kernel_sums(layer_map, rows, start)
         return signature_from_sums(sums, self.config.signature_bits)
 
     def mismatched_rows(
@@ -1384,27 +1393,13 @@ class FusedSignatures:
             rows = np.asarray(rows, dtype=np.int64)
             return rows[current != self.golden[rows]]
         layer_map = self._layer_map(model)
-        start: Union[str, None, int] = "auto"
-        if rows is not None:
-            rows = np.asarray(rows, dtype=np.int64)
-            if rows.size:
-                # Contiguity first: one arange comparison both validates the
-                # bounds and unlocks the block gather + golden-view compare,
-                # so the scheduler-slice hot path never pays min/max.
-                self._ensure_kernel()
-                start = self._contiguous_rows_start(rows, rows.size)
-            if start is None or rows.size == 0:
-                rows = self._validated_rows(rows)
-        sums = self._kernel_sums(layer_map, rows, contiguous_start=start)
-        # The sums live in scratch and are consumed right here, so binarize
-        # them in place instead of allocating signature_from_sums's
-        # intermediates on the hottest path.
-        shift, mask = signature_shift_mask(self.config.signature_bits)
-        np.right_shift(sums, shift, out=sums)
-        np.bitwise_and(sums, mask, out=sums)
+        rows, start = self._checked_rows(rows)
+        sums = binarize_in_place(
+            self._kernel_sums(layer_map, rows, start), self.config.signature_bits
+        )
         if rows is None:
             return np.nonzero(sums != self.golden)[0].astype(np.int64)
-        if isinstance(start, int):
+        if start is not None:
             return rows[sums != self.golden[start : start + rows.size]]
         return rows[sums != self.golden[rows]]
 
@@ -1419,7 +1414,7 @@ class FusedSignatures:
         The streaming counterpart of :meth:`signatures`: no model object,
         just the flat int8 payload a DMA engine would deliver for
         ``layer_name``.  Uses the fused per-layer gather matrix and sign
-        mask with narrow accumulation, so
+        mask with int16 accumulation, so
         :class:`~repro.core.streaming.StreamingVerifier` shares the
         kernel's speed without owning a plane.  ``groups`` restricts the
         check to the listed local group indices (in order).
@@ -1461,8 +1456,10 @@ class FusedSignatures:
             indices, signs = row_indices, row_signs
         gathered = self._scratch.take("stream-gathered", indices.shape, np.int8)
         np.take(qweight_flat, indices, out=gathered)
-        sums = self._scratch.take("stream-sums", (indices.shape[0],), self._accum_dtype)
-        np.einsum("ij,ij->i", gathered, signs, dtype=self._accum_dtype, out=sums)
+        sums = self._scratch.take(
+            "stream-sums", (indices.shape[0],), SIGNATURE_ACCUMULATOR
+        )
+        np.einsum("ij,ij->i", gathered, signs, dtype=SIGNATURE_ACCUMULATOR, out=sums)
         return signature_from_sums(sums, self.config.signature_bits)
 
     def rows_to_layer_groups(self, rows: np.ndarray) -> Dict[str, np.ndarray]:
@@ -1546,7 +1543,6 @@ def _stacked_sums(
     sizes: Sequence[int],
     width: int,
     group_size: int,
-    accum: np.dtype,
     scratch: ScanScratch,
     homogeneous: bool,
     structures: Sequence[Optional[PlaneStructure]],
@@ -1563,21 +1559,23 @@ def _stacked_sums(
     re-reads every byte, instead of streaming a whole padded bucket through
     cache twice.  Within each tile, a model whose rows are one contiguous
     run routes through :meth:`PlaneStructure.gather_block` when its plane
-    has verified rotated-arange structure, serves plain index/sign *views*
-    when contiguous but unstructured, and falls back to the general padded
-    ``np.take`` for arbitrary row sets — all three produce identical int8
-    gathers, so the integer sums are exact regardless of path.
+    has strided-view structure and the tile is wide enough to pay for the
+    views, serves plain index/sign *views* to ``np.take`` otherwise, and
+    arbitrary row sets take the general padded ``np.take`` — all produce
+    identical int8 gathers.
 
-    Returns the ``(num_models, width)`` sums view into ``scratch``.
+    Returns the ``(num_models, width)`` int16 sums view into ``scratch``
+    (exact modulo ``2**16``, see :mod:`repro.core.checksum`).
     """
     num_models = len(planes)
     tile = _stacked_tile_width(num_models, group_size, width)
+    accum = SIGNATURE_ACCUMULATOR
     sums = scratch.take("stacked-sums", (num_models, width), accum)
     if homogeneous:
         rows0 = rows_list[0]
-        start0 = _contiguous_start(rows0, width)
         indices0 = indices_list[0]
         signs0 = signs_list[0]
+        start0 = _contiguous_start(rows0, indices0.shape[1], scratch)
         for w0 in range(0, width, tile):
             w1 = w0 + tile
             if w1 > width:
@@ -1588,34 +1586,22 @@ def _stacked_sums(
                 lo = start0 + w0
                 hi = start0 + w1
                 signs = signs0[:, lo:hi]
-                if span < STRUCTURED_MIN_COLUMNS_PER_LAYER:
-                    # Narrow tiles (the budgeted fleet's per-tick slices)
-                    # can never clear gather_block's per-layer column
-                    # threshold — skip the per-model chooser and serve one
-                    # shared index view to plain takes, the pre-blocking
-                    # shape of this loop.
-                    block = indices0[:, lo:hi]
-                    for index in range(num_models):
+                block = indices0[:, lo:hi]
+                # Narrow tiles (the budgeted fleet's per-tick slices) can
+                # never clear gather_block's per-layer threshold — skip the
+                # per-model chooser and serve one shared index view.
+                wide = span * group_size >= STRIDED_MIN_BYTES_PER_LAYER
+                for index in range(num_models):
+                    structure = structures[index]
+                    if wide and structure is not None and structure.any_structured:
+                        structure.gather_block(
+                            planes[index], indices_list[index], stacked[index], lo, hi
+                        )
+                    else:
                         # ndarray.take skips the np.take wrapper dispatch;
                         # at fleet scale the wrapper alone is a visible
                         # share of a narrow pass.
                         planes[index].take(block, out=stacked[index], mode="clip")
-                else:
-                    block = indices0[:, lo:hi]
-                    for index in range(num_models):
-                        structure = structures[index]
-                        if structure is not None and structure.any_structured:
-                            structure.gather_block(
-                                planes[index],
-                                indices_list[index],
-                                stacked[index],
-                                lo,
-                                hi,
-                            )
-                        else:
-                            planes[index].take(
-                                block, out=stacked[index], mode="clip"
-                            )
             else:
                 block = rows0[w0:w1]
                 indices = scratch.take("row-indices", (group_size, span), indices0.dtype)
@@ -1629,7 +1615,8 @@ def _stacked_sums(
             )
         return sums
     starts = [
-        _contiguous_start(rows_list[index], sizes[index]) for index in range(num_models)
+        _contiguous_start(rows_list[index], indices_list[index].shape[1], scratch)
+        for index in range(num_models)
     ]
     for w0 in range(0, width, tile):
         w1 = w0 + tile
@@ -1653,11 +1640,10 @@ def _stacked_sums(
             if start is not None:
                 lo = start + w0
                 hi = lo + valid
-                # Same narrow-span bypass as the homogeneous loop: below the
-                # per-layer column threshold the chooser always falls back.
+                # Same narrow-span bypass as the homogeneous loop.
                 structure = (
                     structures[index]
-                    if valid >= STRUCTURED_MIN_COLUMNS_PER_LAYER
+                    if valid * group_size >= STRIDED_MIN_BYTES_PER_LAYER
                     else None
                 )
                 if structure is not None and structure.any_structured:
@@ -1717,7 +1703,7 @@ def batched_mismatched_rows(
     rows, the stack degenerates to the broadcast fast path (one shared
     index/sign matrix); otherwise each model contributes its own.  Either
     way the per-pass NumPy dispatch overhead is paid once for the whole
-    batch, the gather stays int8 and the accumulation narrow, and all
+    batch, the gather stays int8 and the accumulation int16, and all
     stacked workspaces come from ``scratch`` (the engine passes its
     per-bucket :class:`ScanScratch`; ``None`` allocates a private one).
 
@@ -1780,7 +1766,6 @@ def batched_mismatched_rows(
         view._ensure_kernel()
     scratch = scratch if scratch is not None else ScanScratch()
     group_size = reference.config.group_size
-    accum = reference._accum_dtype
     signature_bits = reference.config.signature_bits
 
     reference_key = reference.structure_key()
@@ -1807,13 +1792,12 @@ def batched_mismatched_rows(
         sizes,
         width,
         group_size,
-        accum,
         scratch,
         homogeneous,
         [view._structure for view in views],
     )
 
-    current = signature_from_sums(sums, signature_bits)
+    current = binarize_in_place(sums, signature_bits)
     flagged: List[np.ndarray] = []
     for index, (view, model_rows) in enumerate(zip(views, rows_list)):
         size = sizes[index]
@@ -1880,7 +1864,6 @@ class StackedVerifier:
         self._reference = reference
         self._group_size = reference.config.group_size
         self._signature_bits = reference.config.signature_bits
-        self._accum = reference._accum_dtype
         self._indices = [view._kernel_indices for view in views]
         self._signs = [view._kernel_signs for view in views]
         self._structures = [view._structure for view in views]
@@ -1919,7 +1902,7 @@ class StackedVerifier:
         same in-range slice, kernel arrays unchanged since construction).
         """
         views = self.views
-        num_models = len(views)
+        scratch = scratch if scratch is not None else ScanScratch()
         rows0 = rows_list[0]
         width = rows0.size
         if self._uniform and width and self._intact():
@@ -1946,7 +1929,9 @@ class StackedVerifier:
                 validated = self._reference._validated_rows(
                     np.asarray(rows0, dtype=np.int64)
                 )
-                start = _contiguous_start(validated, width)
+                start = _contiguous_start(
+                    validated, self._reference.total_groups, scratch
+                )
                 if len(self._rows_memo) >= 256:
                     self._rows_memo.clear()
                 self._rows_memo[memo_key] = (tuple(rows_list), validated, start)
@@ -1959,14 +1944,13 @@ class StackedVerifier:
         self,
         rows0: np.ndarray,
         width: int,
-        scratch: Optional[ScanScratch],
+        scratch: ScanScratch,
         start: Optional[int],
     ) -> List[np.ndarray]:
-        scratch = scratch if scratch is not None else ScanScratch()
         views = self.views
         num_models = len(views)
         planes = [
-            view._prepare_plane(layer_map, rows0)
+            view._prepare_plane(layer_map, rows0, start)
             for view, layer_map in zip(views, self.layer_maps)
         ]
         sums = _stacked_sums(
@@ -1977,12 +1961,11 @@ class StackedVerifier:
             [width] * num_models,
             width,
             self._group_size,
-            self._accum,
             scratch,
             True,
             self._structures,
         )
-        current = signature_from_sums(sums, self._signature_bits)
+        current = binarize_in_place(sums, self._signature_bits)
         if start is not None:
             golden_block = self._golden_matrix[:, start : start + width]
         else:
@@ -2015,7 +1998,7 @@ def stacked_mismatched_rows(
     and no :class:`FusedSignatures` — just each model's weight plane,
     slot-major gather-index and sign matrices, and golden signatures.  This
     runs the exact same arithmetic through :func:`_stacked_sums`
-    (cache-blocked int8 gather, narrow-accumulation einsum, in-order
+    (cache-blocked int8 gather, int16-accumulation einsum, in-place
     binarize and golden compare), so its flagged rows are bit-identical to
     the coordinator's in-process path for the same inputs.
 
@@ -2023,11 +2006,11 @@ def stacked_mismatched_rows(
     shares one structure key *and* one row slice (the engine knows; the
     worker cannot cheaply verify), enabling the shared index/sign broadcast
     fast path.  ``structures`` optionally carries each model's published
-    rotated-arange structure — a :class:`PlaneStructure`, a picklable
+    strided-view structure — a :class:`PlaneStructure`, a picklable
     :class:`PlaneStructureSpec`, or ``None`` — so workers run the
-    block-slice gather without re-deriving (or guessing) anything.  Both
-    flags change dispatch cost only — integer sums are exact, so every path
-    produces identical results.
+    strided-view gather without re-deriving (or guessing) anything.  Both
+    flags change dispatch cost only — every path gathers identical bytes,
+    so every path produces identical results.
     """
     num_models = len(planes)
     if not (
@@ -2058,7 +2041,6 @@ def stacked_mismatched_rows(
     if width == 0:
         return [np.empty(0, dtype=np.int64) for _ in planes]
     scratch = scratch if scratch is not None else ScanScratch()
-    accum = accumulator_dtype(group_size)
     sums = _stacked_sums(
         planes,
         indices_list,
@@ -2067,12 +2049,11 @@ def stacked_mismatched_rows(
         sizes,
         width,
         group_size,
-        accum,
         scratch,
         homogeneous,
         structure_list,
     )
-    current = signature_from_sums(sums, signature_bits)
+    current = binarize_in_place(sums, signature_bits)
     flagged: List[np.ndarray] = []
     for index in range(num_models):
         size = sizes[index]

@@ -111,7 +111,7 @@ class StreamingVerifier:
 
         Verification runs on the scan kernel's per-layer arrays
         (:meth:`~repro.core.signature.FusedSignatures.layer_stream_signatures`):
-        precomputed gather indices and int8 sign mask with narrow (int32)
+        precomputed gather indices and int8 sign mask with int16
         accumulation, instead of re-deriving the layout's index matrix and
         promoting every streamed weight to int64 per call.
         """

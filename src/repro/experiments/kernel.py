@@ -12,8 +12,8 @@ gather out of a fused weight plane plus one narrow-accumulation
 for adopted models — zero weight copies.
 
 Since the structure-aware gather landed, the kernel side also detects
-rotated-arange structure at fuse time and serves full scans with block
-slice copies over the plane (falling back to the general gather for
+interleaved structure at fuse time and serves contiguous ranges with one
+strided-view copy per layer (falling back to the general gather for
 unstructured layouts and narrow ranges); each result row records whether
 the measured plane was fully ``structured`` plus the host's
 ``available_cpus``, so the CI floor can be structure- and

@@ -195,7 +195,7 @@ class TimingModel:
         :class:`~repro.core.cost.AnalyticScanCostModel` is built on.
 
         ``narrow`` (the default) prices the zero-copy scan kernel's int8
-        gather + int32 accumulation — the per-weight term divided by
+        gather + narrow (int16) accumulation — the per-weight term divided by
         ``narrow_accumulation_speedup``.  ``narrow=False`` prices the
         retained per-layer reference path (the pre-kernel cost, kept for
         comparisons and re-pricing studies).
